@@ -840,6 +840,25 @@ mod tests {
     }
 
     #[test]
+    fn sync_in_records_commits_that_leave_the_view_untouched() {
+        let (_, db) = fixture();
+        let q = parse_query("select(scan UserGroup, user = 'ann')").unwrap();
+        let mut reg = PlanRegistry::<WitnessesAnn>::new(&db);
+        let mut ctx = DeletionContext::new_in_registry(&mut reg, &q).unwrap();
+        let id = ctx.registry_query().unwrap();
+        let session = reg.subscribe_session(id).unwrap();
+        let dev = db.tid_of("UserGroup", &tuple(["bob", "dev"])).unwrap();
+        let out = reg.delete_sources(std::slice::from_ref(&dev));
+        assert!(out.iter().all(|(_, d)| d.is_empty()), "no view changed");
+        // The session has no event to deliver, but the context still
+        // learns the tid is committed.
+        assert!(reg.drain_session(session).is_empty());
+        ctx.sync_in(&mut reg);
+        assert_eq!(ctx.committed(), &BTreeSet::from([dev]));
+        assert_eq!(ctx.view_len(), 1);
+    }
+
+    #[test]
     fn resolve_after_delete_in_runs_on_the_shared_view() {
         let (q, db) = fixture();
         let mut reg = PlanRegistry::<WitnessesAnn>::new(&db);

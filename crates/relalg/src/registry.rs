@@ -50,7 +50,11 @@
 //!   `(tids, per-query delta)` to each subscriber's queue, and
 //!   [`PlanRegistry::drain_pending`] hands a consumer everything committed
 //!   since it last looked — including commits made through *other*
-//!   consumers of the same shared DAG.
+//!   consumers of the same shared DAG. Per-session subscriptions
+//!   ([`PlanRegistry::subscribe_session`]) are narrower: a session's
+//!   private queue receives a commit only when that commit's delta for
+//!   its query is non-empty, so a view a deletion leaves untouched has
+//!   nothing to deliver.
 //!
 //! Registration is transactional (a mid-build error rolls back every node
 //! the call created) and **mid-stream registration replays history**: a
@@ -303,7 +307,7 @@ pub struct PlanRegistry<A> {
     outbox: BTreeMap<QueryId, Vec<(Vec<Tid>, ViewDelta)>>,
     /// Per-session subscriptions: private pending queues keyed by
     /// [`SubscriberId`], so concurrent consumers of one query never steal
-    /// each other's deltas.
+    /// each other's deltas. Only view-changing commits are queued.
     session_outbox: BTreeMap<SubscriberId, SessionSub>,
     next_subscriber: u64,
     /// Every tid ever deleted through this registry — replayed into nodes
@@ -529,11 +533,13 @@ impl<A: Annotation> PlanRegistry<A> {
             .unwrap_or_default()
     }
 
-    /// Open a *private* subscription on `id`: every subsequent effective
-    /// [`PlanRegistry::delete_sources`] call appends `(tids, delta)` to
-    /// this subscriber's own queue, drained with
-    /// [`PlanRegistry::drain_session`]. Multiple sessions subscribing to
-    /// the same query each get every delta (unlike the shared
+    /// Open a *private* subscription on `id`: every subsequent
+    /// [`PlanRegistry::delete_sources`] call that changes this query's
+    /// view (a non-empty [`ViewDelta`]) appends `(tids, delta)` to this
+    /// subscriber's own queue, drained with
+    /// [`PlanRegistry::drain_session`]. A commit that leaves the view
+    /// untouched queues nothing. Multiple sessions subscribing to the
+    /// same query each get every delta (unlike the shared
     /// [`PlanRegistry::subscribe`] outbox, whose drain is
     /// first-come-first-served). `None` for unknown ids.
     pub fn subscribe_session(&mut self, id: QueryId) -> Option<SubscriberId> {
@@ -552,8 +558,9 @@ impl<A: Annotation> PlanRegistry<A> {
         Some(sub)
     }
 
-    /// Take everything committed since this subscriber last drained, in
-    /// commit order. Empty for closed or unknown subscribers.
+    /// Take every view-changing commit since this subscriber last
+    /// drained, in commit order; each entry's delta is non-empty. Empty
+    /// for closed or unknown subscribers.
     pub fn drain_session(&mut self, sub: SubscriberId) -> Vec<(Vec<Tid>, ViewDelta)> {
         self.session_outbox
             .get_mut(&sub)
@@ -634,7 +641,8 @@ impl<A: Annotation> PlanRegistry<A> {
     /// in [`crate::plan::MaterializedPlan::delete_sources`]; a batch with
     /// no effect returns empty deltas without touching the DAG.
     /// Subscribed queries additionally get `(tids, delta)` appended to
-    /// their outbox.
+    /// their outbox; per-session subscribers get it only when their
+    /// query's delta is non-empty.
     pub fn delete_sources(&mut self, tids: &[Tid]) -> Vec<(QueryId, ViewDelta)> {
         // Record even no-op tids: a relation nobody scans *yet* must still
         // be replayed into nodes a later registration builds.
@@ -685,17 +693,22 @@ impl<A: Annotation> PlanRegistry<A> {
             .iter()
             .map(|(&q, rq)| (q, per_root[&rq.root].clone()))
             .collect();
-        self.per_root_scratch = per_root;
+        // The shared outbox gets every effective batch, even one that left
+        // its view untouched: registry-backed deletion contexts fold each
+        // entry's tids into their committed set.
         for (q, delta) in &out {
             if let Some(pending) = self.outbox.get_mut(q) {
                 pending.push((tids.to_vec(), delta.clone()));
             }
         }
+        // A session only hears about commits that changed its view.
         for sub in self.session_outbox.values_mut() {
-            if let Some((_, delta)) = out.iter().find(|(q, _)| *q == sub.query) {
+            let delta = &per_root[&self.queries[&sub.query].root];
+            if !delta.is_empty() {
                 sub.pending.push((tids.to_vec(), delta.clone()));
             }
         }
+        self.per_root_scratch = per_root;
         out
     }
 
@@ -1252,6 +1265,60 @@ mod tests {
         reg.unregister(q1);
         assert_eq!(reg.session_query(b), None);
         assert!(reg.drain_session(b).is_empty());
+    }
+
+    #[test]
+    fn sessions_hear_only_commits_that_change_their_view() {
+        let db = fixture();
+        let mut reg = PlanRegistry::<Unit>::new(&db);
+        let ann = reg
+            .register(&parse_query("select(scan UserGroup, user = 'ann')").unwrap())
+            .unwrap();
+        let bob = reg
+            .register(&parse_query("select(scan UserGroup, user = 'bob')").unwrap())
+            .unwrap();
+        // Scans GroupFile, so deleting from it is effective, but its view
+        // is empty and stays so.
+        reg.register(&parse_query("select(scan GroupFile, grp = 'nobody')").unwrap())
+            .unwrap();
+        let a = reg.subscribe_session(ann).unwrap();
+        let b = reg.subscribe_session(bob).unwrap();
+        reg.subscribe(ann);
+        reg.subscribe(bob);
+
+        // (bob, dev) changes bob's view only.
+        let dev = db.tid_of("UserGroup", &tuple(["bob", "dev"])).unwrap();
+        reg.delete_sources(std::slice::from_ref(&dev));
+        assert!(reg.drain_session(a).is_empty(), "ann's view is untouched");
+        let got_b = reg.drain_session(b);
+        assert_eq!(got_b.len(), 1);
+        assert_eq!(got_b[0].0, vec![dev.clone()]);
+        assert_eq!(got_b[0].1.removed, vec![tuple(["bob", "dev"])]);
+        // The shared outbox still records the batch for both queries: its
+        // consumers fold every effective batch into their committed sets.
+        let outbox_ann = reg.drain_pending(ann);
+        assert_eq!(outbox_ann.len(), 1);
+        assert_eq!(outbox_ann[0].0, vec![dev]);
+        assert!(outbox_ann[0].1.is_empty());
+        assert_eq!(reg.drain_pending(bob).len(), 1);
+
+        // An effective deletion that changes no view: no session hears it.
+        let main = db.tid_of("GroupFile", &tuple(["dev", "main"])).unwrap();
+        let out = reg.delete_sources(std::slice::from_ref(&main));
+        assert!(out.iter().all(|(_, d)| d.is_empty()));
+        assert!(reg.drain_session(a).is_empty());
+        assert!(reg.drain_session(b).is_empty());
+        let outbox_ann = reg.drain_pending(ann);
+        assert_eq!(outbox_ann.len(), 1);
+        assert_eq!(outbox_ann[0].0, vec![main.clone()]);
+        assert_eq!(reg.drain_pending(bob).len(), 1);
+
+        // A batch that deletes nothing at all reaches no queue.
+        reg.delete_sources(&[main, Tid::new("Nope", 0)]);
+        assert!(reg.drain_session(a).is_empty());
+        assert!(reg.drain_session(b).is_empty());
+        assert!(reg.drain_pending(ann).is_empty());
+        assert!(reg.drain_pending(bob).is_empty());
     }
 
     #[test]

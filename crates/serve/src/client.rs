@@ -265,6 +265,8 @@ impl Client {
                 {
                     return Ok(None)
                 }
+                // Interrupted by a signal, not a transport failure.
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(AwaitError::Io(e)),
             }
         }
@@ -287,8 +289,8 @@ impl Client {
         self.request(Command::Unregister(id))
     }
 
-    /// `subscribe q<k>`: committed deltas for the query start flowing to
-    /// this connection as event frames.
+    /// `subscribe q<k>`: each later commit that changes the query's view
+    /// flows to this connection as an event frame.
     pub fn subscribe(&mut self, id: dap_relalg::QueryId) -> Result<Response, ClientError> {
         self.request(Command::Subscribe(id))
     }

@@ -38,8 +38,10 @@ pub enum Command {
     Register(Query),
     /// Durably unregister a standing query.
     Unregister(QueryId),
-    /// Open a per-session subscription on a standing query: subsequent
-    /// committed deltas are pushed to this session as `event` frames.
+    /// Open a per-session subscription on a standing query: each later
+    /// commit that changes the query's view (removes a view tuple or
+    /// changes its annotation) is pushed to this session as an `event`
+    /// frame. A commit that leaves the view untouched sends nothing.
     Subscribe(QueryId),
     /// Durably delete source tuples from every registered view.
     DeleteSource(Vec<Tid>),
@@ -119,7 +121,9 @@ pub enum Response {
         seq: u64,
     },
     /// A server-pushed subscription event (sequence number 0 on the
-    /// wire).
+    /// wire), sent only for a commit that changed the subscribed view,
+    /// so `removed + changed` is always positive. A commit's events
+    /// reach a session before that session's reply to the commit.
     Event {
         /// Event text: `q<k> batch=<tids> removed=<n> changed=<n>`.
         body: String,

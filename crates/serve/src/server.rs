@@ -509,6 +509,9 @@ fn reader_loop(
                 }
                 continue;
             }
+            // A timed read interrupted by a signal (SIGSTOP/SIGCONT on a
+            // socket with SO_RCVTIMEO) is not a dead peer: read again.
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(_) => return,
         }
         loop {
@@ -899,27 +902,36 @@ impl Engine {
         self.stats.commits.fetch_add(1, Ordering::SeqCst);
     }
 
-    /// Push committed deltas to every subscribed session.
+    /// Push committed deltas to every session whose subscribed view the
+    /// commit changed. The registry queues nothing for an untouched view,
+    /// so a commit that changed no subscribed view sends no frame.
     fn fan_out_events(&mut self, tids: &[dap_relalg::Tid]) {
-        let rendered: Vec<String> = tids.iter().map(|t| t.to_string()).collect();
-        let batch = rendered.join(",");
-        let mut frames: Vec<(u64, Vec<u8>)> = Vec::new();
+        let mut due = Vec::new();
         for (&session, entries) in &self.subs {
             for &(qid, sub) in entries {
                 for (_, delta) in self.state.registry_mut().drain_session(sub) {
-                    let resp = Response::Event {
-                        body: format!(
-                            "{qid} batch={batch} removed={} changed={}",
-                            delta.removed.len(),
-                            delta.changed.len()
-                        ),
-                    };
-                    frames.push((session, encode_wire_frame(&resp.encode())));
+                    due.push((session, qid, delta));
                 }
             }
         }
-        for (session, frame) in frames {
-            send_frame(&self.switchboard, session, frame);
+        if due.is_empty() {
+            return;
+        }
+        let rendered: Vec<String> = tids.iter().map(|t| t.to_string()).collect();
+        let batch = rendered.join(",");
+        for (session, qid, delta) in due {
+            let resp = Response::Event {
+                body: format!(
+                    "{qid} batch={batch} removed={} changed={}",
+                    delta.removed.len(),
+                    delta.changed.len()
+                ),
+            };
+            send_frame(
+                &self.switchboard,
+                session,
+                encode_wire_frame(&resp.encode()),
+            );
         }
     }
 

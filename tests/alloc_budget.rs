@@ -1,7 +1,9 @@
 //! Allocation-regression guard for the serving hot path.
 //!
-//! A counting [`GlobalAlloc`] wrapper tallies every heap allocation made by
-//! this test binary. After warm-up, a steady-state serving turn
+//! A counting [`GlobalAlloc`] wrapper tallies every heap allocation, per
+//! thread: each test reads only the allocations its own thread made, so a
+//! sibling test running concurrently in this binary cannot leak into its
+//! window. After warm-up, a steady-state serving turn
 //! (`delete_sources` on a maintained plan plus the registry fan-out) must
 //! stay under a pinned allocation budget. The budget is deliberately
 //! generous — it is a regression tripwire for "accidentally quadratic"
@@ -17,20 +19,31 @@
 use dap::prelude::*;
 use dap::provenance::WitnessesAnn;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// System allocator wrapper that counts allocation *events* (alloc and
 /// grow-realloc; frees are not counted — the budget is on acquisition).
 struct CountingAlloc;
 
-static ALLOC_EVENTS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocation events made by the current thread. A `const`-initialized
+    /// `Cell` of a type without `Drop` needs no lazy registration, so
+    /// touching it from inside the allocator never allocates.
+    static ALLOC_EVENTS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_event() {
+    // `try_with` fails only during thread teardown, when nothing measures.
+    let _ = ALLOC_EVENTS.try_with(|n| n.set(n.get() + 1));
+}
 
 // SAFETY: defers every operation verbatim to `System`; the counter is a
-// relaxed atomic increment with no other side effects.
+// thread-local `Cell` increment that neither allocates nor has any other
+// side effect.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
+        count_event();
         System.alloc(layout)
     }
 
@@ -39,7 +52,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
+        count_event();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -47,8 +60,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocation events the calling thread has made so far.
 fn events() -> u64 {
-    ALLOC_EVENTS.load(Ordering::Relaxed)
+    ALLOC_EVENTS.with(Cell::get)
 }
 
 /// Fixture: R(A, B) ⋈ S(B, C) projected to (A, C), with enough rows that a
@@ -82,8 +96,8 @@ const BUDGET_PER_TURN: u64 = 400;
 #[test]
 fn serving_turn_allocations_stay_under_budget() {
     let (q, db) = fixture();
-    // One worker: helper threads would tally their stack/queue allocations
-    // nondeterministically into our counter.
+    // One worker: the caller runs every task itself, so the whole turn's
+    // allocations land on this thread's counter.
     let pool = ParPool::new(1);
     let mut plan = MaterializedPlan::<WitnessesAnn>::build_with(&q, &db, pool).unwrap();
     let mut reg = PlanRegistry::<WitnessesAnn>::with_pool(&db, pool);

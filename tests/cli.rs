@@ -275,3 +275,112 @@ fn serve_round_trips_and_drains_on_sigterm() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// **Spawned-process signal test**: stopping and continuing `dap serve`
+/// (SIGSTOP, then SIGCONT) interrupts every session's timed socket read
+/// with `EINTR`. That is not a dead peer: the same connection, and the
+/// subscription it holds, must keep working.
+#[cfg(unix)]
+#[test]
+fn serve_sessions_survive_sigstop_and_sigcont() {
+    use dap::serve::{Client, ClientOptions, Response};
+    use std::io::BufRead as _;
+    use std::time::{Duration, Instant};
+
+    let db = fixture_file();
+    let dir = std::env::temp_dir().join(format!("dap-cli-sigstop-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = dap()
+        .args(["init", dir.to_str().unwrap(), db.to_str().unwrap()])
+        .output()
+        .expect("init runs");
+    assert!(out.status.success());
+
+    /// Kills the server if an assertion fails first (SIGKILL also ends a
+    /// stopped process).
+    struct Reap(std::process::Child);
+    impl Drop for Reap {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+    let mut child = Reap(
+        dap()
+            .args(["serve", dir.to_str().unwrap(), "0"])
+            .stdout(std::process::Stdio::piped())
+            .spawn()
+            .expect("serve spawns"),
+    );
+    let pid = child.0.id().to_string();
+    let signal = |sig: &str| {
+        let status = std::process::Command::new("kill")
+            .args([sig, &pid])
+            .status()
+            .expect("kill runs");
+        assert!(status.success(), "kill {sig} {pid}");
+    };
+    let mut lines = std::io::BufReader::new(child.0.stdout.take().expect("piped stdout")).lines();
+    let banner = lines
+        .next()
+        .expect("serve prints its address before blocking")
+        .expect("stdout readable");
+    let addr: std::net::SocketAddr = banner
+        .strip_prefix("listening on ")
+        .unwrap_or_else(|| panic!("unexpected banner: {banner}"))
+        .parse()
+        .expect("banner carries an address");
+
+    let mut c = Client::new(addr, ClientOptions::new("stopped"));
+    let reg = c
+        .register(&dap::relalg::parse_query("scan UserGroup").unwrap())
+        .expect("register answers");
+    let Response::Ok { body, .. } = reg else {
+        panic!("register answered {reg:?}")
+    };
+    let id =
+        dap::serve::protocol::parse_query_id(body.split(' ').next().unwrap()).expect("query id");
+    let sub = c.subscribe(id).expect("subscribe answers");
+    assert!(matches!(sub, Response::Ok { .. }), "{sub:?}");
+    // Let the session's reader go back to its blocking read, so the stop
+    // lands inside it.
+    std::thread::sleep(Duration::from_millis(200));
+
+    signal("-STOP");
+    let stat = format!("/proc/{pid}/stat");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    // The state letter follows the parenthesized command name.
+    while std::fs::read_to_string(&stat)
+        .ok()
+        .and_then(|s| s.rsplit(") ").next().map(|r| r.starts_with('T')))
+        != Some(true)
+    {
+        assert!(Instant::now() < deadline, "serve never stopped");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    signal("-CONT");
+
+    // The same session answers, and still carries the subscription: an
+    // event only reaches the connection that subscribed.
+    let del = c
+        .delete_source(&[dap::relalg::Tid::new("UserGroup", 0)])
+        .expect("delete answers");
+    assert!(matches!(del, Response::Ok { .. }), "{del:?}");
+    let events = c.take_events();
+    assert_eq!(
+        events.len(),
+        1,
+        "subscription survived the stop: {events:?}"
+    );
+
+    signal("-TERM");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while child.0.try_wait().expect("try_wait").is_none() {
+        assert!(
+            Instant::now() < deadline,
+            "serve did not drain within 10s of SIGTERM"
+        );
+        std::thread::sleep(Duration::from_millis(25));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

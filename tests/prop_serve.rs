@@ -15,7 +15,13 @@
 //!   responses and the in-flight peak never exceeds the queue bound.
 //! * **Crash safety** — an abrupt kill loses nothing acknowledged; the
 //!   restarted server picks up at the same sequence.
+//! * **Events follow view changes** — a session hears exactly the commits
+//!   that changed a view it subscribed to, checked against a fresh
+//!   evaluation over `db ∖ committed` after every delete.
 
+mod common;
+
+use common::{small_database, typed_query};
 use dap::durability::{recover, LogRecord};
 use dap::prelude::*;
 use dap::provenance::WitnessesAnn;
@@ -24,6 +30,7 @@ use dap::serve::{
     ChaosProxy, Client, ClientOptions, Command, Fault, FaultPlan, Response, ServeOptions, Server,
 };
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
@@ -531,4 +538,139 @@ fn solve_budget_exhaustion_is_an_answer_not_a_hang() {
     expect_ok(&c.ping().unwrap());
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Parse the query id out of a `register` answer (`q<k>` or
+/// `q<k> (existing)`).
+fn registered_id(resp: &Response) -> QueryId {
+    dap::serve::protocol::parse_query_id(expect_ok(resp).split(' ').next().unwrap())
+        .expect("query id")
+}
+
+/// A delete that changes one subscribed view and not another sends one
+/// event, naming the changed query. The engine queues a commit's events
+/// on a session before that session's reply, so they are all in hand
+/// once the reply is.
+#[test]
+fn events_flow_only_for_changed_views() {
+    let dir = scratch_dir("changed-only");
+    let db = small_fixture();
+    let handle = Server::create_and_start(&dir, &db, 0, fast_opts()).unwrap();
+    let mut c = Client::new(handle.addr(), client_opts("watcher"));
+    let ann = registered_id(
+        &c.register(&parse_query("select(scan UserGroup, user = 'ann')").unwrap())
+            .unwrap(),
+    );
+    let bob = registered_id(
+        &c.register(&parse_query("select(scan UserGroup, user = 'bob')").unwrap())
+            .unwrap(),
+    );
+    expect_ok(&c.subscribe(ann).unwrap());
+    expect_ok(&c.subscribe(bob).unwrap());
+
+    let dev = db.tid_of("UserGroup", &tuple(["bob", "dev"])).unwrap();
+    expect_ok(&c.delete_source(std::slice::from_ref(&dev)).unwrap());
+    let events = c.take_events();
+    assert_eq!(
+        events,
+        vec![format!("{bob} batch={dev} removed=1 changed=0")],
+        "only bob's view changed"
+    );
+
+    // Deleting it again changes nothing: no event at all.
+    expect_ok(&c.delete_source(&[dev]).unwrap());
+    assert!(c.take_events().is_empty());
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A view as an independent oracle sees it: each tuple with its minimal
+/// witnesses, written as source *tuples* rather than tids, because
+/// `Database::without` re-packs row numbers. Relations are sets, so a
+/// source tuple names its row uniquely.
+type OracleView = BTreeMap<Tuple, BTreeSet<BTreeSet<(String, Tuple)>>>;
+
+fn oracle_view(q: &Query, db: &Database, committed: &BTreeSet<Tid>) -> OracleView {
+    let rest = db.without(committed);
+    let why = dap::provenance::why_provenance(q, &rest).expect("query evaluates");
+    why.iter()
+        .map(|(t, ws)| {
+            let ws = ws
+                .iter()
+                .map(|w| {
+                    w.iter()
+                        .map(|tid| (tid.rel.to_string(), rest.tuple(tid).unwrap().clone()))
+                        .collect()
+                })
+                .collect();
+            (t.clone(), ws)
+        })
+        .collect()
+}
+
+/// The event a subscriber of `id` should get for a commit of `batch`
+/// that moved the view from `before` to `after`, or `None` when the view
+/// is unchanged: `removed` counts tuples gone, `changed` counts survivors
+/// whose witness basis differs.
+fn oracle_event(
+    id: QueryId,
+    batch: &Tid,
+    before: &OracleView,
+    after: &OracleView,
+) -> Option<String> {
+    let removed = before.keys().filter(|t| !after.contains_key(*t)).count();
+    let changed = after
+        .iter()
+        .filter(|(t, ws)| before.get(*t).is_some_and(|old| old != *ws))
+        .count();
+    (removed + changed > 0)
+        .then(|| format!("{id} batch={batch} removed={removed} changed={changed}"))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 12, ..ProptestConfig::default()
+    })]
+
+    /// **Events equal the oracle's non-empty deltas.** One session
+    /// subscribes to random standing queries, then deletes random source
+    /// tuples one at a time (repeats included). After each reply, the
+    /// events it received must be, in subscription order, exactly the
+    /// views that a fresh evaluation over `db ∖ committed` shows changed.
+    #[test]
+    fn events_match_reevaluation_oracle(
+        db in small_database(),
+        queries in proptest::collection::vec(typed_query(), 1..4),
+        picks in proptest::collection::vec(any::<prop::sample::Index>(), 1..10),
+    ) {
+        let pool: Vec<Tid> = db.all_tids().collect();
+        prop_assume!(!pool.is_empty());
+        let dir = scratch_dir("events-oracle");
+        let handle = Server::create_and_start(&dir, &db, 0, fast_opts()).unwrap();
+        let mut c = Client::new(handle.addr(), client_opts("oracle"));
+
+        let mut subs: Vec<(QueryId, Query)> = Vec::new();
+        for (q, _) in &queries {
+            let id = registered_id(&c.register(q).unwrap());
+            expect_ok(&c.subscribe(id).unwrap());
+            subs.push((id, q.clone()));
+        }
+        let mut committed = BTreeSet::new();
+        let mut views: Vec<OracleView> =
+            subs.iter().map(|(_, q)| oracle_view(q, &db, &committed)).collect();
+        for pick in &picks {
+            let tid = pool[pick.index(pool.len())].clone();
+            expect_ok(&c.delete_source(std::slice::from_ref(&tid)).unwrap());
+            committed.insert(tid.clone());
+            let mut expected = Vec::new();
+            for ((id, q), view) in subs.iter().zip(views.iter_mut()) {
+                let after = oracle_view(q, &db, &committed);
+                expected.extend(oracle_event(*id, &tid, view, &after));
+                *view = after;
+            }
+            prop_assert_eq!(c.take_events(), expected, "after deleting {}", tid);
+        }
+        handle.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
